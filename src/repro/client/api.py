@@ -331,8 +331,9 @@ class FileClient:
 
         ``buffer_writes`` (default: the client's setting) enables the
         client-side write-behind cache of §5.4: page writes are held
-        locally and shipped in one burst just before commit, so a page
-        rewritten n times crosses the network once.
+        locally and shipped inside the commit request, so a page
+        rewritten n times crosses the network once.  :meth:`transact`
+        always buffers.
         """
         handle = self._begin_waiting(file_cap, respect_soft_lock)
         buffering = self.buffer_writes if buffer_writes is None else buffer_writes
@@ -410,10 +411,15 @@ class FileClient:
         and commit; on a serialisability conflict, redo from scratch.
 
         Returns ``update_fn``'s result from the attempt that committed.
+
+        The loop owns the whole update, so nobody can observe its
+        intermediate server state: it always runs write-behind, and the
+        buffered page writes ride inside the ``commit`` request — two
+        round trips per transaction whatever the number of pages.
         """
         last: ReproError | None = None
         for attempt in range(max_redos):
-            update = self.begin(file_cap, respect_soft_lock)
+            update = self.begin(file_cap, respect_soft_lock, buffer_writes=True)
             try:
                 outcome = update_fn(update)
             except ReproError:
@@ -426,9 +432,49 @@ class FileClient:
                 self.stats.conflicts += 1
                 self.stats.redos += 1
                 last = conflict
+            except ReproError:
+                # The server refused the commit or a write it carried
+                # (PageTooLarge, a bad path): the version is still open.
+                # Release it and its soft lock, then report the refusal —
+                # not a failure of the cleanup, whose version may already
+                # be gone.
+                try:
+                    update.abort()
+                except ReproError:
+                    pass
+                raise
         raise CommitConflict(
             f"update on file {file_cap.obj} failed after {max_redos} redos"
         ) from last
+
+    def _write_runs(
+        self, version: Capability, writes: list[tuple[str, bytes]]
+    ) -> list[list[tuple[str, bytes]]]:
+        """Split shipped page writes into runs that each fit one request
+        frame of the transport.  There is always at least one run; the
+        simulated network has no frame limit and always gets exactly one."""
+        max_frame = getattr(self.txn.network, "max_frame", None)
+        if max_frame is None or not writes:
+            return [writes]
+        from repro.net import wire
+
+        # What the request costs without any write: header, sender,
+        # command, version capability and an empty list.
+        budget = max_frame - len(
+            wire.encode_request(
+                self.node, "write_pages", {"version_cap": version, "writes": []}
+            )
+        )
+        runs: list[list[tuple[str, bytes]]] = [[]]
+        used = 0
+        for path, data in writes:
+            size = wire.write_size(path, data)
+            if runs[-1] and used + size > budget:
+                runs.append([])
+                used = 0
+            runs[-1].append((path, data))
+            used += size
+        return runs
 
 
 class ClientUpdate:
@@ -436,7 +482,7 @@ class ClientUpdate:
 
     With ``buffering`` on, page writes stay in client memory ("the page
     cache does not have to be a 'write through' cache", §5.4) and are
-    shipped just before commit; reading a buffered page is served locally
+    shipped inside the commit request; reading a buffered page is served locally
     (reading your own write depends on nothing in the base version, so no
     server-side R flag is needed for it).  Structural operations flush the
     buffer first — they renumber paths, which the buffer is keyed by.
@@ -463,15 +509,27 @@ class ClientUpdate:
 
     # -- the write-behind buffer ---------------------------------------------
 
+    def _buffered_runs(self) -> list[list[tuple[str, bytes]]]:
+        """The buffer as frame-sized runs of ``(path, data)`` writes —
+        one run, empty when nothing is buffered, unless the writes
+        exceed the transport's frame limit.  The buffer is cleared only
+        once its runs have shipped: a call that fails leaves it intact
+        for a retry, and re-shipping a page write is idempotent."""
+        writes = [(str(path), data) for path, data in sorted(self._buffered.items())]
+        return self.client._write_runs(self.version, writes)
+
+    def _ship(self, runs: list[list[tuple[str, bytes]]]) -> None:
+        for run in runs:
+            self.client._call("write_pages", version_cap=self.version, writes=run)
+
     def flush(self) -> int:
-        """Ship buffered writes to the server; returns how many pages."""
-        count = 0
-        for path, data in sorted(self._buffered.items()):
-            self.client._call(
-                "write_page", version_cap=self.version, path=str(path), data=data
-            )
-            count += 1
-        self._buffered.clear()
+        """Ship buffered writes to the server in one ``write_pages`` call
+        (one per frame-sized run if they exceed the transport's frame
+        limit); returns how many pages."""
+        count = len(self._buffered)
+        if count:
+            self._ship(self._buffered_runs())
+            self._buffered.clear()
         return count
 
     # -- page operations ---------------------------------------------------
@@ -579,13 +637,19 @@ class ClientUpdate:
     # -- ending the update ----------------------------------------------------
 
     def commit(self) -> None:
-        """Commit; buffered writes ship first ("postponed until just
-        before commit", §5.4), and on success the written pages seed the
-        client cache — except paths the server's merge policy reconciled
-        with concurrent updates, whose committed bytes are a merge rather
-        than our write."""
-        self.flush()
-        merged_paths = self.client._call("commit", version_cap=self.version)
+        """Commit; buffered writes ("postponed until just before commit",
+        §5.4) travel inside the commit request — only runs too large for
+        one frame go ahead as ``write_pages`` calls.  On success the
+        written pages seed the client cache — except paths the server's
+        merge policy reconciled with concurrent updates, whose committed
+        bytes are a merge rather than our write."""
+        *ahead, last = self._buffered_runs()
+        self._ship(ahead)
+        params = {"writes": last} if last else {}
+        merged_paths = self.client._call(
+            "commit", version_cap=self.version, **params
+        )
+        self._buffered.clear()
         self.done = True
         self.client.stats.commits += 1
         written = self._written

@@ -38,6 +38,7 @@ the root's own flags live in the version-page header.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.capability import (
     ALL_RIGHTS,
@@ -1594,6 +1595,21 @@ class FileService:
     def cmd_write_page(self, version_cap: Capability, path: str, data: bytes) -> None:
         return self.write_page(version_cap, PagePath.parse(path), data)
 
+    def cmd_write_pages(
+        self, version_cap: Capability, writes: Sequence[tuple[str, bytes]]
+    ) -> None:
+        """A client's write-behind buffer (§5.4) in one message."""
+        self._apply_writes(version_cap, writes)
+
+    def _apply_writes(
+        self, version_cap: Capability, writes: Sequence[tuple[str, bytes]]
+    ) -> None:
+        """Apply shipped ``(path, data)`` writes in order, each through
+        :meth:`write_page` — the one write path, so shadowing, size
+        checks, flags and history events are those of single writes."""
+        for path, data in writes:
+            self.write_page(version_cap, PagePath.parse(path), data)
+
     def cmd_page_structure(self, version_cap: Capability, path: str) -> list[int]:
         return self.page_structure(version_cap, PagePath.parse(path))
 
@@ -1648,7 +1664,12 @@ class FileService:
             )
         )
 
-    def cmd_commit(self, version_cap: Capability) -> list[str]:
+    def cmd_commit(
+        self, version_cap: Capability, writes: Sequence[tuple[str, bytes]] = ()
+    ) -> list[str]:
+        """Commit, first applying the update's last buffered page writes:
+        a write-behind transaction costs ``create_version`` plus this."""
+        self._apply_writes(version_cap, writes)
         return self.commit(version_cap)
 
     def cmd_commit_group(self, version_caps: list[Capability]) -> dict[int, str]:

@@ -45,6 +45,7 @@ Safety is explicit, never silent:
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Any
 
@@ -103,9 +104,11 @@ _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 
 
-def _lazy_types():
-    """The service value types, imported lazily to avoid import cycles
-    (block.stable imports sim.rpc; wire must stay importable first)."""
+@functools.cache
+def _lazy_types() -> tuple:
+    """The service value types, imported on first use to avoid import
+    cycles (block.stable imports sim.rpc; wire must stay importable
+    first) and cached from then on."""
     from repro.block.server import TasResult
     from repro.block.sharding import PlacementMap, ShardRange
     from repro.block.stable import _Intention
@@ -120,11 +123,21 @@ def _lazy_types():
 # ---------------------------------------------------------------------------
 
 
-def encode_value(value: Any, out: bytearray | None = None, _depth: int = 0) -> bytes:
-    """Append the tagged encoding of ``value`` to ``out`` and return it."""
+def encode_value(value: Any, out: bytearray | None = None) -> bytes:
+    """Append the tagged encoding of ``value`` to ``out`` and return the
+    whole buffer as bytes.
+
+    Linear in the encoded size: nested values append to the one buffer
+    and only this top level copies it out.
+    """
     if out is None:
         out = bytearray()
-    if _depth > MAX_DEPTH:
+    _encode(value, out, 0)
+    return bytes(out)
+
+
+def _encode(value: Any, out: bytearray, depth: int) -> None:
+    if depth > MAX_DEPTH:
         raise BadFrame(f"value nesting exceeds {MAX_DEPTH} levels")
     VersionHandle, TasResult, _Intention, Lease, PlacementMap, _ = _lazy_types()
     if value is None:
@@ -157,13 +170,13 @@ def encode_value(value: Any, out: bytearray | None = None, _depth: int = 0) -> b
         out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
         out += _U32.pack(len(value))
         for item in value:
-            encode_value(item, out, _depth + 1)
+            _encode(item, out, depth + 1)
     elif isinstance(value, dict):
         out.append(_T_DICT)
         out += _U32.pack(len(value))
         for key, item in value.items():
-            encode_value(key, out, _depth + 1)
-            encode_value(item, out, _depth + 1)
+            _encode(key, out, depth + 1)
+            _encode(item, out, depth + 1)
     elif isinstance(value, Capability):
         out.append(_T_CAP)
         out += value.pack()
@@ -178,25 +191,31 @@ def encode_value(value: Any, out: bytearray | None = None, _depth: int = 0) -> b
         out += value.current
     elif isinstance(value, _Intention):
         out.append(_T_INTENTION)
-        encode_value(value.kind, out, _depth + 1)
-        encode_value(value.account, out, _depth + 1)
-        encode_value(value.block_no, out, _depth + 1)
-        encode_value(value.data, out, _depth + 1)
+        _encode(value.kind, out, depth + 1)
+        _encode(value.account, out, depth + 1)
+        _encode(value.block_no, out, depth + 1)
+        _encode(value.data, out, depth + 1)
     elif isinstance(value, Lease):
         out.append(_T_LEASE)
-        encode_value(value.epoch, out, _depth + 1)
-        encode_value(value.ttl, out, _depth + 1)
+        _encode(value.epoch, out, depth + 1)
+        _encode(value.ttl, out, depth + 1)
     elif isinstance(value, PlacementMap):
         out.append(_T_PLACEMENT)
-        encode_value(value.epoch, out, _depth + 1)
+        _encode(value.epoch, out, depth + 1)
         out += _U32.pack(len(value.ranges))
         for r in value.ranges:
-            encode_value(r.lo, out, _depth + 1)
-            encode_value(r.hi, out, _depth + 1)
-            encode_value(r.port, out, _depth + 1)
+            _encode(r.lo, out, depth + 1)
+            _encode(r.hi, out, depth + 1)
+            _encode(r.port, out, depth + 1)
     else:
         raise BadFrame(f"type {type(value).__name__} has no wire encoding")
-    return bytes(out)
+
+
+def write_size(path: str, data: bytes) -> int:
+    """Encoded size of one ``(path, data)`` page write inside a list:
+    the tuple, string and bytes headers (a tag and a u32 each) plus the
+    contents — how a client packs buffered writes under ``max_frame``."""
+    return 15 + len(path.encode("utf-8")) + len(data)
 
 
 class _Reader:
@@ -329,20 +348,21 @@ def _decode(reader: _Reader, depth: int) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _frame(
-    frame_type: int, request_id: int, payload: bytes, max_frame: int
-) -> bytes:
+def _frame(frame_type: int, request_id: int, value: Any, max_frame: int) -> bytes:
+    """Encode ``value`` straight behind a reserved header: the payload is
+    copied once, when the finished frame leaves the buffer."""
     if not 0 <= request_id <= MAX_REQUEST_ID:
         raise BadFrame(f"request id {request_id} outside the u32 range")
-    if HEADER_SIZE + len(payload) > max_frame:
+    out = bytearray(HEADER_SIZE)
+    _encode(value, out, 0)
+    if len(out) > max_frame:
         raise FrameTooLarge(
-            f"frame of {HEADER_SIZE + len(payload)} bytes exceeds the "
-            f"{max_frame}-byte maximum"
+            f"frame of {len(out)} bytes exceeds the {max_frame}-byte maximum"
         )
-    return (
-        _HEADER.pack(MAGIC, WIRE_VERSION, frame_type, request_id, len(payload))
-        + payload
+    _HEADER.pack_into(
+        out, 0, MAGIC, WIRE_VERSION, frame_type, request_id, len(out) - HEADER_SIZE
     )
+    return bytes(out)
 
 
 def encode_request(
@@ -352,18 +372,13 @@ def encode_request(
     max_frame: int = DEFAULT_MAX_FRAME,
     request_id: int = 0,
 ) -> bytes:
-    return _frame(
-        FRAME_REQUEST,
-        request_id,
-        encode_value((sender, command, params)),
-        max_frame,
-    )
+    return _frame(FRAME_REQUEST, request_id, (sender, command, params), max_frame)
 
 
 def encode_reply(
     value: Any, max_frame: int = DEFAULT_MAX_FRAME, request_id: int = 0
 ) -> bytes:
-    return _frame(FRAME_REPLY, request_id, encode_value(value), max_frame)
+    return _frame(FRAME_REPLY, request_id, value, max_frame)
 
 
 def encode_error(
@@ -371,8 +386,7 @@ def encode_error(
     max_frame: int = DEFAULT_MAX_FRAME,
     request_id: int = 0,
 ) -> bytes:
-    payload = encode_value((type(exc).__name__, str(exc)))
-    return _frame(FRAME_ERROR, request_id, payload, max_frame)
+    return _frame(FRAME_ERROR, request_id, (type(exc).__name__, str(exc)), max_frame)
 
 
 def decode_header(

@@ -97,3 +97,31 @@ def test_per_update_override(cluster):
     assert cluster.network.stats.messages == before
     update.commit()
     assert client.read(cap) == b"y"
+
+
+def test_failed_commit_keeps_the_buffer_for_a_retry(
+    cluster, buffered_client, monkeypatch
+):
+    """The buffered writes ride inside the commit request; if that
+    request fails (an outage), they stay buffered and a retried commit
+    ships them again."""
+    from repro.errors import ServerUnreachable
+
+    cap = buffered_client.create_file(b"v0")
+    update = buffered_client.begin(cap)
+    update.write(ROOT, b"v1")
+    call = buffered_client._call
+
+    def commit_lost(command, **params):
+        if command == "commit":
+            raise ServerUnreachable("commit request lost")
+        return call(command, **params)
+
+    monkeypatch.setattr(buffered_client, "_call", commit_lost)
+    with pytest.raises(ServerUnreachable):
+        update.commit()
+    assert update._buffered == {ROOT: b"v1"}
+    monkeypatch.undo()
+    update.commit()
+    reader = FileClient(cluster.network, "reader", cluster.service_port)
+    assert reader.read(cap) == b"v1"

@@ -338,14 +338,13 @@ def bench_rebalance() -> dict:
 
 
 def bench_net() -> dict:
-    """The wire-transport benchmark (real sockets, both daemons).
+    """The wire-transport benchmark (real sockets).
 
     Only the deterministic half is gated: the sequential message-count
-    parity across sim / threaded / async (``mismatch`` must stay 0, the
-    absolute counts within tolerance).  The contended latency numbers
-    are wall-clock on shared CI machines and are reported, not gated —
-    the committed baseline documents the async transport's tail-latency
-    win.
+    parity between sim and the TCP daemons (``mismatch`` must stay 0,
+    the absolute counts within tolerance).  The contended latency
+    numbers are wall-clock on shared CI machines and are reported, not
+    gated — the committed baseline records the contended read tail.
     """
     from repro.workloads.netbench import netbench_document
 

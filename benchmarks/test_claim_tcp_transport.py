@@ -44,11 +44,9 @@ def _run_sim():
     return latencies, cluster.network.stats.messages - before
 
 
-def _run_tcp(async_mode=False):
+def _run_tcp():
     recorder = Recorder()
-    cluster = build_tcp_cluster(
-        servers=2, seed=7, recorder=recorder, async_mode=async_mode
-    )
+    cluster = build_tcp_cluster(servers=2, seed=7, recorder=recorder)
     try:
         client = cluster.client("bench", use_cache=False)
         cap = client.create_file(b"base")
@@ -84,26 +82,21 @@ def test_tcp_transport_matches_sim_message_counts(benchmark, report):
         f"{'sim':<6} {sim_msgs:>6} {sim_msgs / COMMITS:>12.1f} "
         f"{sim_mean:>9.0f} {sim_p95:>9.0f}"
     )
-    for label, async_mode in (("tcp", False), ("async", True)):
-        tcp_lat, tcp_msgs, tcp_retries = _run_tcp(async_mode)
-        tcp_mean, tcp_p95 = _stats(tcp_lat)
-        report.row(
-            f"{label:<6} {tcp_msgs:>6} {tcp_msgs / COMMITS:>12.1f} "
-            f"{tcp_mean:>9.0f} {tcp_p95:>9.0f}"
-        )
-        report.row(
-            f"{label} wall overhead vs in-process sim: "
-            f"{tcp_mean / sim_mean:.1f}x mean"
-        )
+    tcp_lat, tcp_msgs, tcp_retries = _run_tcp()
+    tcp_mean, tcp_p95 = _stats(tcp_lat)
+    report.row(
+        f"{'tcp':<6} {tcp_msgs:>6} {tcp_msgs / COMMITS:>12.1f} "
+        f"{tcp_mean:>9.0f} {tcp_p95:>9.0f}"
+    )
+    report.row(f"tcp wall overhead vs in-process sim: {tcp_mean / sim_mean:.1f}x mean")
 
-        # Parity: same protocol, same number of request/reply exchanges
-        # on either daemon — modulo busy-retry retransmissions, which
-        # the counter exposes.
-        assert abs(tcp_msgs - sim_msgs) <= 2 * tcp_retries + 2, (
-            f"sim={sim_msgs} {label}={tcp_msgs} retries={tcp_retries}"
-        )
-        # Real sockets are slower than in-process calls, but a localhost
-        # commit must stay well under a millisecond-scale budget.
-        assert tcp_p95 < 0.25 * 1e6  # 250 ms, generous against CI noise
+    # Parity: same protocol, same number of request/reply exchanges —
+    # modulo busy-retry retransmissions, which the counter exposes.
+    assert abs(tcp_msgs - sim_msgs) <= 2 * tcp_retries + 2, (
+        f"sim={sim_msgs} tcp={tcp_msgs} retries={tcp_retries}"
+    )
+    # Real sockets are slower than in-process calls, but a localhost
+    # commit must stay well under a millisecond-scale budget.
+    assert tcp_p95 < 0.25 * 1e6  # 250 ms, generous against CI noise
 
     benchmark(lambda: _run_tcp())

@@ -36,16 +36,15 @@ Subcommands:
   death, the file table is checkpointed to disk, and serving again with
   the same ``--data-dir`` and ``--seed`` recovers files, capabilities and
   intentions lists by journal replay.  See docs/DURABILITY.md.
-  ``--async`` hosts every daemon on one asyncio event loop (pipelined
-  connections, lock-free reads) instead of a thread per connection.
-  Prints a ``REPRO_SPEC=...`` line other processes hand to ``repro
-  connect``, then serves until interrupted.  ``--smoke`` instead runs a
+  Every daemon serves each connection on its own thread and runs
+  read-only commands without its dispatch lock.  Prints a
+  ``REPRO_SPEC=...`` line other processes hand to ``repro connect``,
+  then serves until interrupted.  ``--smoke`` instead runs a
   history-checked workload over the sockets — killing one stable-pair
   daemon mid-workload — and exits 0 iff failover worked and the recorded
-  history is serializable (combine with ``--async`` to smoke the event-
-  loop daemon).  ``--bench`` runs the wire-transport benchmark on both
-  daemon implementations and writes ``BENCH_net.json`` (``--out PATH``).
-  See docs/NETWORKING.md.
+  history is serializable.  ``--bench`` runs the wire-transport
+  benchmark (sim/TCP message parity, contended read latency) and writes
+  ``BENCH_net.json`` (``--out PATH``).  See docs/NETWORKING.md.
 * ``connect`` — join a served deployment by spec string and run a small
   round-trip workload (create, commit, read back) as a separate-process
   client.  With ``--bootstrap`` (serve side: ``--discovery``) only the
@@ -531,7 +530,6 @@ def _serve(extra: list[str]) -> None:
     host = "127.0.0.1"
     smoke = False
     bench = False
-    async_mode = False
     discovery = False
     data_dir = None
     bench_out = "BENCH_net.json"
@@ -552,8 +550,6 @@ def _serve(extra: list[str]) -> None:
             smoke = True
         elif flag == "--bench":
             bench = True
-        elif flag == "--async":
-            async_mode = True
         elif flag == "--discovery":
             discovery = True
         elif flag == "--out":
@@ -572,7 +568,6 @@ def _serve(extra: list[str]) -> None:
                 shards=shards,
                 seed=seed,
                 host=host,
-                async_mode=async_mode,
             )
         )
 
@@ -598,7 +593,6 @@ def _serve(extra: list[str]) -> None:
         seed=seed,
         host=host,
         recorder=recorder,
-        async_mode=async_mode,
         discovery=discovery,
         backend="disk" if data_dir is not None else "sim",
         data_dir=data_dir,
@@ -645,10 +639,9 @@ def _serve(extra: list[str]) -> None:
         last_table = raw
 
     topology = f"{shards}-shard" if shards else "single-pair"
-    daemon_kind = "async event-loop" if async_mode else "threaded"
     print(
         f"serving {topology} deployment: {servers} file server(s), "
-        f"{daemon_kind} daemons on {host}"
+        f"threaded daemons on {host}"
     )
     print("REPRO_SPEC=" + cluster.spec(), flush=True)
     print("connect with:  python -m repro connect '<spec>'   (^C stops)")
@@ -665,8 +658,8 @@ def _serve(extra: list[str]) -> None:
 
 
 def _serve_bench(out: str) -> int:
-    """Run the wire-transport benchmark (both daemon implementations,
-    real sockets) and write ``BENCH_net.json``."""
+    """Run the wire-transport benchmark (real sockets) and write
+    ``BENCH_net.json``."""
     import json
 
     from repro.workloads.netbench import netbench_document
@@ -678,23 +671,22 @@ def _serve_bench(out: str) -> int:
     parity = document["parity"]
     print(f"wrote {out}")
     print(
-        "parity: sim=%d threaded=%d async=%d (mismatch=%d)"
-        % (parity["sim"], parity["threaded"], parity["async"], parity["mismatch"])
+        "parity: sim=%d threaded=%d (mismatch=%d)"
+        % (parity["sim"], parity["threaded"], parity["mismatch"])
     )
+    contended = document["contended"]["threaded"]
     print(
-        "contended read p99: threaded %.2fms, async %.2fms (%.2fx better)"
+        "contended read: p99 %.2fms, mean %.2fms; wall %.2fs"
         % (
-            document["contended"]["threaded"]["read_p99_ms"],
-            document["contended"]["async"]["read_p99_ms"],
-            document["read_p99_improvement"],
+            contended["read_p99_ms"],
+            contended["read_mean_ms"],
+            contended["seconds"],
         )
     )
     return 1 if parity["mismatch"] else 0
 
 
-def _serve_smoke(
-    servers: int, shards: int, seed: int, host: str, async_mode: bool = False
-) -> int:
+def _serve_smoke(servers: int, shards: int, seed: int, host: str) -> int:
     """End-to-end smoke over real sockets: a history-checked workload that
     loses one stable-pair daemon mid-run and must fail over cleanly."""
     from repro.net import build_tcp_cluster
@@ -711,7 +703,6 @@ def _serve_smoke(
         host=host,
         recorder=recorder,
         history=history,
-        async_mode=async_mode,
     )
     try:
         client = cluster.client("smoke-host", history=history)

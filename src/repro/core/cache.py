@@ -78,7 +78,7 @@ class Lease:
 class PageCache:
     """A bounded LRU cache of deserialised pages by block number.
 
-    Thread-safe: the async transport serves snapshot reads without the
+    Thread-safe: the TCP daemon serves snapshot reads without the
     dispatch lock, so a read's LRU bookkeeping can race a commit's
     ``put``/``invalidate`` on the same server.  OrderedDict reordering is
     not atomic, hence the internal mutex (uncontended in the simulation

@@ -8,16 +8,12 @@ that wire; this package *is* that wire:
   for request / reply / error frames;
 * :mod:`repro.net.server` — :class:`~repro.net.server.NetServer`, the
   threaded socket daemon hosting any ``cmd_*`` server object, one TCP
-  port per paper port;
-* :mod:`repro.net.aserver` — :class:`~repro.net.aserver.AsyncNetServer`,
-  the asyncio event-loop daemon: every port on one shared loop,
-  pipelined requests per connection, lock-free read dispatch;
+  port per paper port; read-only commands run without the dispatch lock;
 * :mod:`repro.net.transport` — :class:`~repro.net.transport.TcpNetwork`
-  (the simulated network's interface over pooled real connections),
-  :class:`~repro.net.transport.AsyncTcpNetwork` (the same interface
-  hosting async daemons, plus pipelined client connections) and
-  :class:`~repro.net.transport.TcpTransaction` (per-call timeouts,
-  bounded retry with backoff, deterministic companion failover);
+  (the simulated network's interface over pooled, pipelined real
+  connections) and :class:`~repro.net.transport.TcpTransaction`
+  (per-call timeouts, bounded retry with backoff, deterministic
+  companion failover);
 * :mod:`repro.net.cluster` — :func:`~repro.net.cluster.build_tcp_cluster`
   to launch a whole single-pair or sharded topology of daemons on
   localhost, plus the spec strings ``repro serve`` / ``repro connect``
@@ -27,7 +23,6 @@ Everything above the transport — OCC, stores, clients — runs unchanged;
 see docs/NETWORKING.md for the wire format and the sim/TCP parity matrix.
 """
 
-from repro.net.aserver import AsyncNetServer
 from repro.net.cluster import (
     TcpCluster,
     bootstrap,
@@ -37,7 +32,6 @@ from repro.net.cluster import (
 )
 from repro.net.server import NetServer
 from repro.net.transport import (
-    AsyncTcpNetwork,
     PipelinedConnection,
     TcpNetwork,
     TcpTransaction,
@@ -45,8 +39,6 @@ from repro.net.transport import (
 )
 
 __all__ = [
-    "AsyncNetServer",
-    "AsyncTcpNetwork",
     "NetServer",
     "PipelinedConnection",
     "TcpCluster",

@@ -28,7 +28,7 @@ from repro.capability import CapabilityIssuer, new_port
 from repro.block.stable import StablePair
 from repro.core.registry import FileRegistry
 from repro.core.service import FileService
-from repro.net.transport import AsyncTcpNetwork, TcpNetwork
+from repro.net.transport import TcpNetwork
 from repro.obs import NULL_RECORDER
 from repro.sim.rpc import RpcEndpoint, _registry
 from repro.testbed import FILE_SERVICE_ACCOUNT
@@ -104,7 +104,6 @@ def build_tcp_cluster(
     recorder=None,
     history=None,
     call_timeout: float | None = None,
-    async_mode: bool = False,
     lock_timeout: float | None = None,
     discovery: bool = False,
     backend: str = "sim",
@@ -114,11 +113,8 @@ def build_tcp_cluster(
 
     ``shards=0`` gives one companion pair; ``shards=K`` a K-pair sharded
     block tier.  Every daemon binds an OS-assigned port on ``host``.
-    ``async_mode=True`` hosts every daemon on the shared asyncio event
-    loop (:class:`~repro.net.transport.AsyncTcpNetwork`): pipelined
-    connections, lock-free reads, identical wire protocol and crash
-    semantics.  ``discovery=True`` adds a discovery daemon: every other
-    daemon registers there with its socket address, the placement map is
+    ``discovery=True`` adds a discovery daemon: every other daemon
+    registers there with its socket address, the placement map is
     published on sharded deployments, the spec string gains a
     ``discovery`` entry, and other processes can join via
     :func:`bootstrap` with only that entry.
@@ -126,8 +122,7 @@ def build_tcp_cluster(
     rng = random.Random(seed)
     if recorder is None:
         recorder = NULL_RECORDER
-    network_cls = AsyncTcpNetwork if async_mode else TcpNetwork
-    network = network_cls(host=host, recorder=recorder)
+    network = TcpNetwork(host=host, recorder=recorder)
     if call_timeout is not None:
         network.call_timeout = call_timeout
     if lock_timeout is not None:

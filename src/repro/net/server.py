@@ -5,16 +5,22 @@ a block server, one half of a stable pair, a file server — behind a real
 listening TCP socket.  Each accepted connection gets its own thread;
 frames are read with exact-length receives (partial reads and kernel
 buffering are handled here, nowhere else), dispatched, and answered with
-a reply or error frame on the same connection.
+a reply or error frame on the same connection.  One thread reads, runs
+and answers a connection's requests one after another, so pipelined
+requests are answered in FIFO order by construction.
 
 The hosted server objects are the same single-threaded objects the
-simulation drives, so dispatch is serialised through a lock.  The lock is
-acquired with a timeout: a request that cannot get the server within the
-window is answered with a retryable busy error (``MessageDropped`` on the
-wire, which the transaction layer retries with backoff) instead of
-queueing unboundedly — this also breaks the cross-daemon deadlock a
-companion pair could otherwise reach when both halves serve a client and
-call each other at the same moment.
+simulation drives, so mutating commands are serialised through a
+dispatch lock.  Commands in :data:`READ_ONLY_COMMANDS` skip it: committed
+versions are immutable (paper §5.2 — the test-and-set of the commit
+reference is the only critical section), so a snapshot read never waits
+behind a long commit.  The lock is acquired with a timeout: a request
+that cannot get the server within the window is answered with a
+retryable busy error (``MessageDropped`` on the wire, which the
+transaction layer retries with backoff) instead of queueing unboundedly
+— this also breaks the cross-daemon deadlock a companion pair could
+otherwise reach when both halves serve a client and call each other at
+the same moment.
 
 Lifecycle mirrors the simulated network's attach/detach/reattach: a
 stopped daemon refuses connections (clients observe ECONNREFUSED and fail
@@ -30,7 +36,7 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.errors import ReproError, ServerUnreachable, WireError
+from repro.errors import MessageDropped, ReproError, ServerUnreachable, WireError
 from repro.net import wire
 from repro.obs import NULL_RECORDER
 
@@ -38,9 +44,36 @@ from repro.obs import NULL_RECORDER
 # to retry.  Generous against slow CI machines, small against deadlock.
 DEFAULT_LOCK_TIMEOUT = 5.0
 
-
-class _BusySignal(Exception):
-    """Internal: dispatch lock not acquired within the timeout."""
+# Commands that never mutate server state and are safe to run while a
+# mutating command holds the dispatch lock.  Deliberately conservative:
+# ``read_page``/``page_structure`` record search flags on uncommitted
+# versions, and a stable server's ``read`` performs repairing writes, so
+# none of those qualify.
+READ_ONLY_COMMANDS = frozenset(
+    {
+        "snapshot_read",
+        "ping",
+        "current_version",
+        "committed_versions",
+        "family_tree",
+        "probe_update",
+        # Same mutation class as current_version + snapshot_read: hint
+        # repair and lazy version-entry minting only.  renew_lease stays
+        # locked — it feeds the write-paths cache via validate_cache.
+        "read_current",
+        # Discovery / placement reads: pure dictionary lookups.
+        "placement",
+        "directory",
+        "bootstrap",
+        # Migration reads on a stable server: the manifest and the
+        # retirement stamp are pure dict/attribute reads.  ``export``
+        # stays locked — it reads through ``_checked_read``, which can
+        # perform repairing writes; ``dirty_blocks`` stays locked — its
+        # ``reset`` flag mutates the tracking set.
+        "manifest",
+        "retired_epoch",
+    }
+)
 
 
 def command_handler(server: Any, port: int) -> Callable[[str, str, dict], Any]:
@@ -241,19 +274,13 @@ class NetServer:
                 pass
 
     def _dispatch(self, payload: bytes, request_id: int = 0) -> bytes:
+        """Run one request frame and encode its outcome.  Every outcome
+        of the command becomes a frame; only a malformed request raises
+        (:class:`WireError`, which hangs up the connection)."""
         sender, command, params = wire.decode_request(payload)
         self.recorder.count("net.tcp.requests_served")
         try:
             result = self._locked_call(sender, command, params)
-        except _BusySignal:
-            from repro.errors import MessageDropped
-
-            self.recorder.count("net.tcp.busy")
-            return wire.encode_error(
-                MessageDropped(f"{self.name}: dispatch busy, retry"),
-                self.max_frame,
-                request_id=request_id,
-            )
         except ReproError as exc:
             return wire.encode_error(exc, self.max_frame, request_id=request_id)
         except Exception as exc:  # a server bug: propagate loudly, typed
@@ -267,8 +294,14 @@ class NetServer:
             return wire.encode_error(exc, self.max_frame, request_id=request_id)
 
     def _locked_call(self, sender: str, command: str, params: dict) -> Any:
+        """Call the handler, under the dispatch lock unless ``command``
+        is read-only; a lock not acquired within the timeout is a busy
+        signal."""
+        if command in READ_ONLY_COMMANDS:
+            return self.handler(sender, command, params)
         if not self._dispatch_lock.acquire(timeout=self.lock_timeout):
-            raise _BusySignal()
+            self.recorder.count("net.tcp.busy")
+            raise MessageDropped(f"{self.name}: dispatch busy, retry")
         try:
             return self.handler(sender, command, params)
         finally:

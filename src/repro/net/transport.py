@@ -22,9 +22,9 @@ have *several* requests in flight on one socket before collecting any
 reply.  Replies are demultiplexed by id under a shared-reader scheme —
 whichever waiter arrives first reads frames off the socket and delivers
 them to their owners — so the synchronous one-call-at-a-time facade the
-rest of the stack uses pays no extra thread, while pipelined callers
-(and the async daemon, which answers out of one event loop) get true
-multiplexing.
+rest of the stack uses pays no extra thread, while pipelined callers get
+many requests in flight on one socket (the daemon answers them in
+order).
 
 Failure mapping keeps the simulation's error contract:
 
@@ -372,62 +372,6 @@ class TcpNetwork:
             for conn in pool.values():
                 conn.close()
             pool.clear()
-
-
-class AsyncTcpNetwork(TcpNetwork):
-    """A :class:`TcpNetwork` whose daemons are event-loop
-    :class:`~repro.net.aserver.AsyncNetServer` instances sharing one
-    loop thread.
-
-    The client side is inherited unchanged — the wire protocol is
-    identical, so ``send``, pooling, failover and the counters all work
-    the same; only ``attach`` swaps the daemon implementation.  What the
-    swap buys: many connections multiplexed per port, pipelined requests
-    dispatched concurrently, and read-path commands served without the
-    dispatch lock (see the ``aserver`` module docstring).
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        from repro.net.aserver import LoopThread
-
-        self._loop_thread = LoopThread()
-
-    def attach(self, name: str, handler: Callable[[str, Any], Any]) -> None:
-        from repro.net.aserver import AsyncNetServer
-
-        def dispatch(sender: str, command: str, params: dict) -> Any:
-            from repro.sim.rpc import Request
-
-            return handler(sender, Request(command, params))
-
-        with self._topology_lock:
-            daemon = self._daemons.get(name)
-            if daemon is not None:
-                daemon.stop()
-                daemon.handler = dispatch
-            else:
-                extra = (
-                    {} if self.lock_timeout is None
-                    else {"lock_timeout": self.lock_timeout}
-                )
-                daemon = AsyncNetServer(
-                    name,
-                    dispatch,
-                    host=self.host,
-                    recorder=self.recorder,
-                    max_frame=self.max_frame,
-                    dispatch_lock=self._dispatch_groups.get(name),
-                    loop_thread=self._loop_thread,
-                    **extra,
-                )
-                self._daemons[name] = daemon
-            daemon.start()
-            self._addresses[name] = daemon.address
-
-    def close(self) -> None:
-        super().close()
-        self._loop_thread.stop()
 
 
 class PipelinedConnection:

@@ -111,7 +111,7 @@ class HistoryRecorder:
     def __init__(self) -> None:
         self.events: list[HistoryEvent] = []
         self._seq = 0
-        # Lock-free snapshot reads (async transport) record concurrently
+        # Lock-free snapshot reads (TCP daemon) record concurrently
         # with commits; sequence numbers must stay unique and ordered.
         self._lock = threading.Lock()
 

@@ -1,32 +1,25 @@
 """The wire-transport benchmark behind ``BENCH_net.json``.
 
-Two passes over the same service code, three transports:
+Two passes over the same service code:
 
 * **parity** — one fixed mixed workload (commits plus snapshot reads)
-  run *sequentially* on the simulated network, the threaded TCP
-  transport and the async TCP transport.  Sequential execution makes the
-  message count exact and deterministic, and all three transports must
-  produce the *same* number: same protocol, same operations, no retries.
-  This is the gated half of the benchmark — a count drift means the wire
-  protocol grew chatter.
+  run *sequentially* on the simulated network and on the TCP daemons.
+  Sequential execution makes the message count exact and deterministic,
+  and both transports must produce the *same* number: same protocol,
+  same operations, no retries.  This is the gated half of the benchmark
+  — a count drift means the wire protocol grew chatter.
 
-* **contended** — the 8-client mixed workload from the acceptance
-  criterion, run concurrently: two committer clients stream multi-page
-  commits while six reader clients time every snapshot read.  On the
-  threaded transport each read queues on the per-port dispatch lock
-  behind whichever commit (and commit *queue*) is in flight; on the
-  async transport reads skip the lock entirely.  The headline number is
-  ``read_p99_improvement`` — how much lower the async transport keeps
-  the contended read tail.
+* **contended** — the 8-client mixed workload, run concurrently on the
+  TCP daemons: two committer clients stream multi-page commits while six
+  reader clients time every snapshot read.  Reads skip the daemon's
+  dispatch lock, so the read tail measures how little a read waits
+  behind commits in flight.
 
 A note on wall-clock: every daemon and client here shares one CPython
-interpreter, so aggregate throughput is GIL-bound and nearly identical
-across transports — total commit work is the same however it is
-dispatched.  The transport difference is *where the waiting happens*:
-threaded reads wait on the dispatch lock (milliseconds, unbounded by
-queue depth), async reads do not wait at all.  Tail latency is the
-honest measure of that, so that is what the benchmark reports; the raw
-wall seconds are included for completeness but are not gated.
+interpreter, so aggregate throughput is GIL-bound.  Tail latency is the
+honest measure of where the waiting happens, so that is what the
+benchmark reports; the raw wall seconds are included for completeness.
+Neither is gated.
 """
 
 from __future__ import annotations
@@ -91,11 +84,11 @@ def parity_sim() -> int:
     return _run_parity(cluster.network, cluster.service_port, make_client)
 
 
-def parity_tcp(async_mode: bool) -> int:
+def parity_tcp() -> int:
     from repro.client.api import FileClient
     from repro.net import build_tcp_cluster
 
-    cluster = build_tcp_cluster(servers=2, seed=1985, async_mode=async_mode)
+    cluster = build_tcp_cluster(servers=2, seed=1985)
     try:
 
         def make_client(i: int) -> FileClient:
@@ -108,13 +101,13 @@ def parity_tcp(async_mode: bool) -> int:
         cluster.stop()
 
 
-def contended_tcp(async_mode: bool) -> dict:
+def contended_tcp() -> dict:
     """The concurrent 8-client mixed workload; returns wall seconds and
     the reader-side latency distribution in milliseconds."""
     from repro.client.api import FileClient
     from repro.net import build_tcp_cluster
 
-    cluster = build_tcp_cluster(servers=2, seed=1985, async_mode=async_mode)
+    cluster = build_tcp_cluster(servers=2, seed=1985)
     try:
         network = cluster.network
         errors: list[BaseException] = []
@@ -187,10 +180,7 @@ def contended_tcp(async_mode: bool) -> dict:
 def run_netbench() -> dict:
     """The full measurement (the body of ``BENCH_net.json``)."""
     sim = parity_sim()
-    threaded = parity_tcp(async_mode=False)
-    async_ = parity_tcp(async_mode=True)
-    contended_threaded = contended_tcp(async_mode=False)
-    contended_async = contended_tcp(async_mode=True)
+    threaded = parity_tcp()
     return {
         "workload": {
             "parity_clients": PARITY_CLIENTS,
@@ -205,39 +195,30 @@ def run_netbench() -> dict:
         "parity": {
             "sim": sim,
             "threaded": threaded,
-            "async": async_,
-            # 0 when all three transports move the same number of
-            # messages for the same workload; gated at exactly zero.
-            "mismatch": int(not (sim == threaded == async_)),
+            # 0 when both transports move the same number of messages
+            # for the same workload; gated at exactly zero.
+            "mismatch": int(sim != threaded),
         },
-        "contended": {
-            "threaded": contended_threaded,
-            "async": contended_async,
-        },
-        "read_p99_improvement": round(
-            contended_threaded["read_p99_ms"] / contended_async["read_p99_ms"], 2
-        ),
+        "contended": {"threaded": contended_tcp()},
     }
 
 
 # Metrics the bench gate holds against the committed baseline.  Only the
-# deterministic half is gated: sequential message-count parity across
-# the three transports.  The contended latency numbers are wall-clock on
-# shared machines — reported, never gated.
+# deterministic half is gated: sequential message-count parity between
+# the simulator and TCP.  The contended latency numbers are wall-clock
+# on shared machines — reported, never gated.
 GATE = [
     "parity.mismatch",
     "parity.sim",
     "parity.threaded",
-    "parity.async",
 ]
 
 # Subtrees of the document that are wall-clock measurements: meaningful
-# in the committed baseline as a record of the tail-latency win, but not
+# in the committed baseline as a record of the read tail, but not
 # reproducible bit-for-bit.  Tooling that checks the baseline is
 # regenerable strips these paths first.
 WALLCLOCK = [
     "contended",
-    "read_p99_improvement",
 ]
 
 

@@ -55,7 +55,7 @@ def test_page_cache_stats_exact_under_thread_barrage():
     """Counter updates happen under ``_mutex``: a barrage of concurrent
     gets against concurrent puts must account for every single call.
     (Regression: hits/misses were read-modify-written outside the lock
-    and lost increments on the async transport's lock-free read path.)"""
+    and lost increments on the TCP daemon's lock-free read path.)"""
     import sys
     import threading
 

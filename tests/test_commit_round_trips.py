@@ -3,12 +3,12 @@
 ``FileClient.transact`` runs write-behind and ships the buffered page
 writes inside its ``commit`` request: ``create_version`` plus ``commit``
 is four client messages (two requests, two replies) for 1, 8 or 64
-pages — on the simulator, on the threaded daemons and on the asyncio
-daemons alike.  ``flush`` ships the buffer in one ``write_pages`` call.
-When the writes would not fit one frame of the TCP transport, earlier
-runs go ahead as ``write_pages`` calls and only the last rides in
-``commit``.  A commit whose shipped writes the server refuses leaves no
-open version and no soft lock behind.
+pages — on the simulator and on the TCP daemons alike.  ``flush`` ships
+the buffer in one ``write_pages`` call.  When the writes would not fit
+one frame of the TCP transport, earlier runs go ahead as
+``write_pages`` calls and only the last rides in ``commit``.  A commit
+whose shipped writes the server refuses leaves no open version and no
+soft lock behind.
 """
 
 from __future__ import annotations
@@ -20,20 +20,18 @@ from repro.core.page import PAGE_BODY_SIZE
 from repro.core.pathname import PagePath
 from repro.errors import BadPathName, PageTooLarge
 from repro.net import build_tcp_cluster, connect, wire
-from repro.net.aserver import READ_ONLY_COMMANDS
+from repro.net.server import READ_ONLY_COMMANDS
 from repro.testbed import build_cluster
 
 ROOT = PagePath.ROOT
 
 
-@pytest.fixture(params=["sim", "threaded", "async"])
+@pytest.fixture(params=["sim", "threaded"])
 def deployment(request):
     if request.param == "sim":
         yield build_cluster(servers=1, seed=7)
         return
-    cluster = build_tcp_cluster(
-        servers=1, seed=7, async_mode=request.param == "async"
-    )
+    cluster = build_tcp_cluster(servers=1, seed=7)
     yield cluster
     cluster.stop()
 
@@ -158,10 +156,10 @@ def big_value(i: int, tag: bytes) -> bytes:
     return page_value(i, tag) * 8
 
 
-@pytest.mark.parametrize("async_mode", [False, True], ids=["threaded", "async"])
-def test_writes_larger_than_a_frame_go_in_frame_sized_runs(async_mode, monkeypatch):
+@pytest.mark.parametrize("daemon", ["threaded"])
+def test_writes_larger_than_a_frame_go_in_frame_sized_runs(daemon, monkeypatch):
     limit = 32 * 1024
-    cluster = build_tcp_cluster(servers=1, seed=7, async_mode=async_mode)
+    cluster = build_tcp_cluster(servers=1, seed=7)
     network, service_port = connect(cluster.spec())
     try:
         # The client and the file server's daemon both enforce the small

@@ -287,11 +287,13 @@ def test_lease_wire_roundtrip():
     assert decode_value(encode_value(reply)) == reply
 
 
-@pytest.mark.parametrize("async_mode", [False, True])
-def test_leased_reads_over_tcp(async_mode):
+@pytest.mark.parametrize("deferred_writes", [False, True])
+def test_leased_reads_over_tcp(deferred_writes):
     from repro.net import build_tcp_cluster
 
-    cluster = build_tcp_cluster(servers=2, seed=7, async_mode=async_mode)
+    cluster = build_tcp_cluster(
+        servers=2, seed=7, deferred_writes=deferred_writes
+    )
     try:
         writer = cluster.client("writer")
         # TCP clocks are wall-clock microseconds: a 60s lease stays live.

